@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race chaos fuzz fuzz-wire bench bench-index bench-serve bench-replica bench-mvcc bench-mask bench-storage benchgo
+.PHONY: check build vet staticcheck test race chaos fuzz fuzz-wire bench bench-index bench-serve bench-replica bench-mvcc benchgo perfbench-test
 
-check: build vet staticcheck race
+check: build vet staticcheck race perfbench-test
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is a separate module (it imports this one through a replace
+# directive), so `go test ./...` at the root never builds it; its smoke
+# tests run each workload briefly with its answer check on.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # The jepsen-lite failover suite under the race detector: five seeded
 # network-chaos schedules (partitions, latency, mid-message cuts,
@@ -74,19 +80,6 @@ bench-replica:
 # effective GOMAXPROCS (BENCH_mvcc.json, cmd/authdb/benchmvcc.go).
 bench-mvcc:
 	$(GO) run ./cmd/authdb bench-mvcc
-
-# Materialized mask closure latency profile: cold (no cache, no
-# closure) vs warm (resident closure) vs permit-churn recovery, at
-# GOMAXPROCS 1/4 (BENCH_mask.json, cmd/authdb/benchmask.go).
-bench-mask:
-	$(GO) run ./cmd/authdb bench-mask
-
-# Paged vs memory storage backend: insert, full and incremental
-# checkpoint, point reads, and reopen at 10x/100x scale; the 100x paged
-# cell runs with its resident set over the buffer-cache budget
-# (BENCH_storage.json, cmd/authdb/benchstorage.go).
-bench-storage:
-	$(GO) run ./cmd/authdb bench-storage
 
 # Go testing.B micro-benchmarks.
 benchgo:

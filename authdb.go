@@ -125,17 +125,6 @@ type Options struct {
 	// Answers are byte-identical either way; steady-state retrieves skip
 	// both pipelines entirely.
 	MaskClosure bool
-	// Storage selects the durable backend for OpenDir: "memory"
-	// (whole-generation CSV snapshots, all state resident) or "paged"
-	// (slotted pages + B+Trees behind an LRU buffer cache, checkpoints
-	// flush only dirty pages). Empty defers to the AUTHDB_STORAGE
-	// environment variable, then "memory". Answers and the durability
-	// protocol are identical either way; a directory written by one
-	// backend is converted on open by the other.
-	Storage string
-	// CachePages bounds the paged backend's buffer cache in 4KiB pages
-	// (0 = the 4096-page default); ignored by the memory backend.
-	CachePages int
 }
 
 // DefaultOptions enables every refinement, the optimized executor,
@@ -220,14 +209,7 @@ func OpenDir(dir string, opts ...Options) (*DB, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	cfg := engine.StorageConfigFromEnv()
-	if o.Storage != "" {
-		cfg.Backend = o.Storage
-	}
-	if o.CachePages > 0 {
-		cfg.CachePages = o.CachePages
-	}
-	eng, err := engine.OpenDurableStorage(dir, o.internal(), cfg)
+	eng, err := engine.OpenDurable(dir, o.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -243,10 +225,10 @@ func (db *DB) Close() error { return db.eng.Close() }
 // the next open's recovery time. Only durable databases checkpoint.
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
-// StorageBackend reports the durable storage backend serving this
-// database: "paged" when a page store is attached, else "memory"
-// (including purely in-memory databases).
-func (db *DB) StorageBackend() string { return db.eng.StorageBackend() }
+// StorageBackend reports the storage backend serving this database.
+// There is one: "memory" (all state resident, durable directories
+// persisted as whole-generation CSV snapshots behind the WAL).
+func (db *DB) StorageBackend() string { return "memory" }
 
 // Load restores a database saved with Save. With no Options argument it
 // uses DefaultOptions.

@@ -303,8 +303,8 @@ func runBench(args []string) int {
 	}
 	// This harness measures the mask cache and the concurrent evaluator;
 	// with the closure on, repeats would be served from materialized
-	// state and neither layer would be exercised. bench-mask owns the
-	// closure's numbers.
+	// state and neither layer would be exercised. perfbench's hot_read
+	// workload owns the closure's numbers.
 	e.SetMaskClosureEnabled(false)
 	rep := &benchReport{
 		Generated:  time.Now().UTC().Format(time.RFC3339),

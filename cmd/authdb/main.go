@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	authdb [-user NAME] [-load FILE] [-db DIR] [-storage memory|paged]
-//	       [-cache-pages N] [-paper]
+//	authdb [-user NAME] [-load FILE] [-db DIR] [-paper]
 //
 // With -db, the directory is opened (or created) durably: every mutating
 // statement is journaled to a write-ahead log and a crash loses at most
@@ -58,10 +57,6 @@ func main() {
 			os.Exit(runBenchReplica(os.Args[2:]))
 		case "bench-mvcc":
 			os.Exit(runBenchMVCC(os.Args[2:]))
-		case "bench-mask":
-			os.Exit(runBenchMask(os.Args[2:]))
-		case "bench-storage":
-			os.Exit(runBenchStorage(os.Args[2:]))
 		case "serve":
 			os.Exit(runServe(os.Args[2:]))
 		case "promote":
@@ -75,23 +70,18 @@ func run() int {
 	user := flag.String("user", "", "open the session as this (unprivileged) user; empty means administrator")
 	load := flag.String("load", "", "execute this statement script before the prompt")
 	dbdir := flag.String("db", "", "open (or create) a durable database directory")
-	storage := flag.String("storage", "", "durable storage backend: memory (CSV snapshots) or paged (B+Trees, incremental checkpoints); empty: AUTHDB_STORAGE, then the directory's existing format")
-	cachePages := flag.Int("cache-pages", 0, "paged backend's buffer-cache budget in 4KiB pages (0: 4096)")
 	paper := flag.Bool("paper", false, "preload the paper's Figure 1 example database")
 	flag.Parse()
 
 	var db *authdb.DB
 	if *dbdir != "" {
-		opt := authdb.DefaultOptions()
-		opt.Storage = *storage
-		opt.CachePages = *cachePages
 		var err error
-		db, err = authdb.OpenDir(*dbdir, opt)
+		db, err = authdb.OpenDir(*dbdir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "opening %s: %v\n", *dbdir, err)
 			return 1
 		}
-		fmt.Printf("opened %s (durable, %s storage)\n", *dbdir, db.StorageBackend())
+		fmt.Printf("opened %s (durable)\n", *dbdir)
 	} else {
 		db = authdb.Open()
 	}

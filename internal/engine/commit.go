@@ -173,15 +173,6 @@ func (e *Engine) brokenNow() error {
 // released. Callers hold e.mu for writing and have already applied the
 // mutation.
 func (s *Session) logStmt(p parser.Stmt) error {
-	// Mirror the mutation into the page store first (same critical
-	// section, same order as the log). A write-through failure is
-	// fail-stop like a WAL failure: the store may have half-applied the
-	// statement, and marking the engine broken keeps every
-	// durCheck-guarded checkpoint from ever committing the drift.
-	if err := s.eng.pageApply(p); err != nil {
-		s.eng.setBroken(err)
-		return fmt.Errorf("paged storage write-through: %w", err)
-	}
 	w, err := s.eng.stageStmt(p)
 	if err != nil {
 		return err

@@ -33,7 +33,6 @@ import (
 
 	"authdb/internal/core"
 	"authdb/internal/faultfs"
-	"authdb/internal/storage"
 	"authdb/internal/wal"
 )
 
@@ -51,6 +50,13 @@ func walName(gen uint64) string  { return fmt.Sprintf("wal-%06d.log", gen) }
 // flat Save layout.
 const lsnName = "LSN"
 
+// rootName marks a snapshot generation written by the paged storage
+// backend of earlier releases (DESIGN.md §16). This release reads only
+// CSV generations; it looks for ROOT so that it can refuse such a
+// directory by name, before touching it, instead of failing later on
+// missing schema files.
+const rootName = "ROOT"
+
 // durable is an engine's attachment to a durable database directory.
 // The open WAL handle lives on the Engine (walH, under walMu) so the
 // group-commit flusher can append without the engine lock; the
@@ -65,9 +71,7 @@ type durable struct {
 // directory: the committed snapshot is loaded, the write-ahead log's
 // valid prefix is replayed, and a fresh checkpoint is taken. Directories
 // saved with Save (the flat layout) are converted on first open. The
-// storage backend comes from the environment (AUTHDB_STORAGE, see
-// StorageConfigFromEnv); use OpenDurableStorage to pick it explicitly.
-// The caller should Close the engine to release the log handle.
+// caller should Close the engine to release the log handle.
 func OpenDurable(dir string, opt core.Options) (*Engine, error) {
 	return OpenDurableFS(faultfs.OS(), dir, opt)
 }
@@ -75,22 +79,6 @@ func OpenDurable(dir string, opt core.Options) (*Engine, error) {
 // OpenDurableFS is OpenDurable over an explicit filesystem; the
 // fault-injection tests use it to crash persistence at every operation.
 func OpenDurableFS(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
-	return OpenDurableStorageFS(fs, dir, opt, StorageConfigFromEnv())
-}
-
-// OpenDurableStorage is OpenDurable with an explicit storage backend; a
-// directory last committed by the other backend is converted in place
-// at the opening checkpoint.
-func OpenDurableStorage(dir string, opt core.Options, cfg StorageConfig) (*Engine, error) {
-	return OpenDurableStorageFS(faultfs.OS(), dir, opt, cfg)
-}
-
-// OpenDurableStorageFS is OpenDurableStorage over an explicit
-// filesystem.
-func OpenDurableStorageFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfig) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -98,7 +86,7 @@ func OpenDurableStorageFS(fs faultfs.FS, dir string, opt core.Options, cfg Stora
 	if err != nil {
 		return nil, err
 	}
-	e, err := openDurableFS(fs, dir, opt, cfg)
+	e, err := openDurableFS(fs, dir, opt)
 	if err != nil {
 		releaseDirLock(lock)
 		return nil, err
@@ -108,44 +96,27 @@ func OpenDurableStorageFS(fs faultfs.FS, dir string, opt core.Options, cfg Stora
 }
 
 // openDurableFS loads the committed state, replays the log, and takes
-// the opening checkpoint; the caller holds the directory lock. The
-// committed generation's own format (a ROOT file marks it paged, CSVs
-// the memory layout) decides how it is read; cfg decides what the
-// opening checkpoint writes, so backend conversion is just open + the
-// checkpoint every open takes anyway.
-func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfig) (*Engine, error) {
+// the opening checkpoint; the caller holds the directory lock.
+func openDurableFS(fs faultfs.FS, dir string, opt core.Options) (*Engine, error) {
 	gen, committed, err := readCurrent(fs, dir)
 	if err != nil {
 		return nil, err
 	}
 	var e *Engine
-	var ps *storage.Store
 	switch {
 	case committed:
 		snapDir := filepath.Join(dir, snapName(gen))
+		if _, err := fs.Stat(filepath.Join(snapDir, rootName)); err == nil {
+			return nil, fmt.Errorf("%s is a paged-storage generation (it holds %s), which this release cannot read; convert the directory first with the previous release: authdb -db %s -storage memory", snapName(gen), rootName, dir)
+		}
 		if err := verifyManifest(fs, snapDir); err != nil {
 			return nil, fmt.Errorf("%s: %w", snapName(gen), err)
 		}
-		pagedGen := pagedGeneration(fs, snapDir)
-		if cfg.Backend == "" {
-			// No backend requested: keep the committed generation's own
-			// format rather than silently converting it. Conversion
-			// happens only on an explicit "memory" or "paged".
-			if pagedGen {
-				cfg.Backend = StoragePaged
-			} else {
-				cfg.Backend = StorageMemory
-			}
-		}
-		if pagedGen {
-			e, ps, err = loadPagedState(fs, dir, snapDir, opt, cfg.cachePages())
-		} else {
-			e, err = loadState(fs, snapDir, opt)
-		}
+		e, err = loadState(fs, snapDir, opt)
 		if err != nil {
 			return nil, err
 		}
-		// Loading rebuilt the state by replaying rendered statements,
+		// loadState rebuilt the state by replaying rendered statements,
 		// which counted LSNs of its own; reset to the number the snapshot
 		// actually embodies before the WAL replay resumes the count.
 		e.lsn.Store(readSnapLSN(fs, snapDir))
@@ -153,27 +124,7 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 			e.epochHist = hist
 			e.epoch.Store(hist[len(hist)-1].Epoch)
 		}
-		if ps != nil && !cfg.paged() {
-			// Converting paged → memory: the trees were only needed to
-			// load; the checkpoint below writes the CSV layout.
-			ps.Close()
-			ps = nil
-		}
-		if ps == nil && cfg.paged() {
-			// Converting memory → paged: start an empty store and let the
-			// opening checkpoint populate it from the recovered head.
-			ps, err = storage.Create(fs, pagesPath(dir), cfg.cachePages())
-			if err != nil {
-				return nil, err
-			}
-			ps.MarkRebuild()
-		}
-		// Attach before replay so replayed WAL statements write through.
-		e.pstore, e.storageCfg = ps, cfg
 		if err := replayWAL(fs, filepath.Join(dir, walName(gen)), e); err != nil {
-			if ps != nil {
-				ps.Close()
-			}
 			return nil, err
 		}
 	case legacyLayout(fs, dir):
@@ -184,14 +135,6 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 	default:
 		e = New(opt)
 	}
-	if cfg.paged() && e.pstore == nil {
-		ps, err = storage.Create(fs, pagesPath(dir), cfg.cachePages())
-		if err != nil {
-			return nil, err
-		}
-		ps.MarkRebuild()
-		e.pstore, e.storageCfg = ps, cfg
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Recovery adjusted the LSN counter (and possibly the epoch history)
@@ -199,24 +142,9 @@ func openDurableFS(fs faultfs.FS, dir string, opt core.Options, cfg StorageConfi
 	// matches before the opening checkpoint renders it.
 	e.publishLocked()
 	if err := e.checkpointLocked(fs, dir, gen); err != nil {
-		if e.pstore != nil {
-			e.pstore.Close()
-		}
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if e.pstore == nil {
-		// A leftover page file from a paged past is dead weight once a
-		// CSV generation committed.
-		fs.Remove(pagesPath(dir))
-	}
 	return e, nil
-}
-
-// pagedGeneration reports whether a committed snapshot generation holds
-// the paged layout (a ROOT file) rather than schema/data CSVs.
-func pagedGeneration(fs faultfs.FS, snapDir string) bool {
-	_, err := fs.Stat(filepath.Join(snapDir, storage.RootName))
-	return err == nil
 }
 
 // readCurrent reads the committed generation from CURRENT; a missing
@@ -332,28 +260,9 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	// commit feed) before the log rotates out from under it. New records
 	// cannot be staged while we hold e.mu.
 	e.drainCommits()
-	var files map[string][]byte
-	var err error
-	if e.pstore != nil {
-		// Paged checkpoint: flush only the dirty pages to the shared page
-		// file, then commit a generation holding just the tiny ROOT (plus
-		// LSN/EPOCH below). The store's copy-on-write discipline means the
-		// committed ROOT never references an in-flight page, so the flush
-		// can tear anywhere and the old generation still reads cleanly.
-		if e.pstore.NeedsRebuild() {
-			if err := e.rebuildPageStore(); err != nil {
-				return fmt.Errorf("rebuilding page store: %w", err)
-			}
-		}
-		if _, err := e.pstore.Flush(); err != nil {
-			return fmt.Errorf("flushing pages: %w", err)
-		}
-		files = map[string][]byte{storage.RootName: e.pstore.RenderRoot()}
-	} else {
-		files, err = e.snapshotFiles()
-		if err != nil {
-			return err
-		}
+	files, err := e.snapshotFiles()
+	if err != nil {
+		return err
 	}
 	// The LSN file pins the statement count the snapshot embodies; it is
 	// part of the generation (and its MANIFEST), not of the flat Save
@@ -435,12 +344,6 @@ func (e *Engine) checkpointLocked(fs faultfs.FS, dir string, gen uint64) error {
 	e.durableLSN.Store(e.lsn.Load())
 	e.commitCond.Broadcast()
 	e.commitMu.Unlock()
-	if e.pstore != nil {
-		// Pages freed before this commit belonged to trees the old ROOT
-		// could still reach; now that CURRENT points past it they are
-		// reusable.
-		e.pstore.Commit()
-	}
 	if gen > 0 {
 		fs.RemoveAll(filepath.Join(dir, snapName(gen)))
 		fs.Remove(filepath.Join(dir, walName(gen)))

@@ -3,7 +3,12 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
+	iofs "io/fs"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"authdb/internal/core"
@@ -123,30 +128,16 @@ func TestDurableCloseFailsStop(t *testing.T) {
 // recovers a consistent prefix of the statement history, never a torn or
 // fabricated state.
 func TestCrashRecoverySweep(t *testing.T) {
-	crashSweep(t, false, StorageConfig{})
+	crashSweep(t, false)
 }
 
 // TestCrashRecoverySweepShortWrites repeats the sweep with the tripping
 // write persisting half its payload, modelling torn sector writes.
 func TestCrashRecoverySweepShortWrites(t *testing.T) {
-	crashSweep(t, true, StorageConfig{})
+	crashSweep(t, true)
 }
 
-// TestCrashRecoverySweepPaged runs the sweep on the paged backend with a
-// tiny buffer cache, so the kill points land mid-page-flush and
-// mid-checkpoint (the ROOT/CURRENT dance) as well as in the WAL.
-func TestCrashRecoverySweepPaged(t *testing.T) {
-	crashSweep(t, false, StorageConfig{Backend: StoragePaged, CachePages: 8})
-}
-
-// TestCrashRecoverySweepPagedShortWrites adds torn page writes: the
-// tripping WriteAt persists half a page, which recovery must reject via
-// the page CRC (shadow paging keeps the committed tree clean).
-func TestCrashRecoverySweepPagedShortWrites(t *testing.T) {
-	crashSweep(t, true, StorageConfig{Backend: StoragePaged, CachePages: 8})
-}
-
-func crashSweep(t *testing.T, short bool, cfg StorageConfig) {
+func crashSweep(t *testing.T, short bool) {
 	refs := referenceStates(t)
 	// isPrefixState returns the latest history index whose state matches
 	// fp (statements like insert-then-delete can revisit an earlier
@@ -170,7 +161,7 @@ func crashSweep(t *testing.T, short bool, cfg StorageConfig) {
 		fs.Arm(k)
 
 		// Run until the injected crash (or to completion).
-		e, err := OpenDurableStorageFS(fs, dir, core.DefaultOptions(), cfg)
+		e, err := OpenDurableFS(fs, dir, core.DefaultOptions())
 		applied := -1 // statements confirmed applied before the crash
 		if err == nil {
 			applied = 0
@@ -192,7 +183,7 @@ func crashSweep(t *testing.T, short bool, cfg StorageConfig) {
 
 		// "Reboot": recovery over the real filesystem must always
 		// succeed and land on a prefix of the history.
-		re, err := OpenDurableStorage(dir, core.DefaultOptions(), cfg)
+		re, err := OpenDurable(dir, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("k=%d: recovery failed: %v", k, err)
 		}
@@ -257,4 +248,88 @@ func TestDurableConvertsLegacySave(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("converted database lost tuples:\n%s", r)
 	}
+}
+
+// TestDurableRefusesPagedGeneration hand-builds a directory whose
+// committed generation is in the paged layout of earlier releases
+// (MANIFEST, ROOT, LSN and EPOCH beside a page file) and checks that
+// opening it fails with an error naming the generation and the
+// conversion step, without writing, checkpointing or removing anything.
+func TestDurableRefusesPagedGeneration(t *testing.T) {
+	dir := t.TempDir()
+	gen := snapName(3)
+	snap := map[string][]byte{
+		rootName:  []byte("root page 1\n"),
+		lsnName:   []byte("7\n"),
+		epochName: []byte("1 0\n"),
+	}
+	var manifest bytes.Buffer
+	for _, rel := range sortedPaths(snap) {
+		fmt.Fprintf(&manifest, "%08x %d %s\n", crc32.ChecksumIEEE(snap[rel]), len(snap[rel]), rel)
+	}
+	snap[manifestName] = manifest.Bytes()
+	if err := os.MkdirAll(filepath.Join(dir, gen), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for rel, b := range snap {
+		if err := os.WriteFile(filepath.Join(dir, gen, rel), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, b := range map[string]string{
+		currentName: gen + "\n",
+		walName(3):  "wal bytes",
+		"pages.db":  "page file bytes",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := readTree(t, dir)
+
+	e, err := OpenDurable(dir, core.DefaultOptions())
+	if err == nil {
+		e.Close()
+		t.Fatal("opening a paged generation succeeded")
+	}
+	for _, want := range []string{gen, rootName, "previous release", "-db " + dir + " -storage memory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+
+	// The directory lock is taken before CURRENT is read, so an empty
+	// LOCK file is the one entry the failed open may leave behind.
+	after := readTree(t, dir)
+	if lock, ok := after[lockFileName]; ok && lock == "" {
+		delete(after, lockFileName)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused open changed the directory:\nbefore %q\nafter  %q", before, after)
+	}
+}
+
+// readTree maps every file and directory under root (slash-separated
+// relative paths; directories end in "/") to its contents.
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			tree[rel+"/"] = ""
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		tree[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }

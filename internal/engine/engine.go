@@ -29,7 +29,6 @@ import (
 	"authdb/internal/metrics"
 	"authdb/internal/parser"
 	"authdb/internal/relation"
-	"authdb/internal/storage"
 	"authdb/internal/value"
 	"authdb/internal/wal"
 )
@@ -76,13 +75,6 @@ type Engine struct {
 	// dur is the crash-safe persistence attachment (nil for in-memory
 	// engines); see durable.go.
 	dur *durable
-	// pstore is the paged storage backend (nil on the memory backend):
-	// B+Trees over a buffer-cached page file, mirrored write-through by
-	// every mutating statement and flushed incrementally at checkpoints.
-	// Attached at open, constant afterwards; its internal state is
-	// guarded by e.mu on the write side. See paged.go and DESIGN.md §16.
-	pstore     *storage.Store
-	storageCfg StorageConfig
 	// dirLock holds the exclusive flock on the durable directory so a
 	// second live engine cannot rotate generations underneath this one;
 	// see dirlock.go. Released in Close.

@@ -20,6 +20,7 @@ package engine
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"authdb/internal/faultfs"
@@ -96,40 +97,41 @@ func (e *Engine) BumpEpoch() (uint64, error) {
 // and must not move the engine backwards; adoption checkpoints on
 // durable engines so the follower can never un-adopt after a restart.
 func (e *Engine) AdoptEpochHistory(hist []EpochEntry) error {
-	if err := validEpochHist(hist); err != nil {
-		return err
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.durCheck(); err != nil {
+		return err
+	}
+	if slices.Equal(hist, e.epochHist) {
+		return nil // re-adopting the current history: no checkpoint churn
+	}
+	prevHist, prevEpoch := e.epochHist, e.epoch.Load()
+	if err := e.installEpochHistLocked(hist); err != nil {
+		return err
+	}
+	if e.dur != nil {
+		if err := e.checkpointLocked(e.dur.fs, e.dur.dir, e.dur.gen); err != nil {
+			e.epochHist = prevHist
+			e.epoch.Store(prevEpoch)
+			return fmt.Errorf("persisting adopted epoch %d: %w", e.epoch.Load(), err)
+		}
+	}
+	return nil
+}
+
+// installEpochHistLocked replaces the history with hist after checking
+// that it is well-formed and does not move the engine backwards.
+// Callers hold e.mu and persist the change with a checkpoint.
+func (e *Engine) installEpochHistLocked(hist []EpochEntry) error {
+	if err := validEpochHist(hist); err != nil {
 		return err
 	}
 	last := hist[len(hist)-1].Epoch
 	if last < e.epoch.Load() {
 		return fmt.Errorf("adopting epoch history ending at %d would regress from epoch %d", last, e.epoch.Load())
 	}
-	if len(hist) == len(e.epochHist) {
-		same := true
-		for i := range hist {
-			if hist[i] != e.epochHist[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return nil // re-adopting the current history: no checkpoint churn
-		}
-	}
-	prevHist, prevEpoch := e.epochHist, e.epoch.Load()
 	e.epochHist = append([]EpochEntry(nil), hist...)
 	e.epoch.Store(last)
-	if e.dur != nil {
-		if err := e.checkpointLocked(e.dur.fs, e.dur.dir, e.dur.gen); err != nil {
-			e.epochHist = prevHist
-			e.epoch.Store(prevEpoch)
-			return fmt.Errorf("persisting adopted epoch %d: %w", last, err)
-		}
-	}
 	return nil
 }
 

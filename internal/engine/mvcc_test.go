@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -451,5 +452,114 @@ func TestCrashAroundVersionSwap(t *testing.T) {
 		if !tripped {
 			break
 		}
+	}
+}
+
+// TestSnapshotSession exercises `\begin snapshot` / `\end`: statements
+// inside the block read one pinned version (concurrent commits stay
+// invisible), the session's own writes re-pin so it reads its writes,
+// and `\end` returns it to the live head.
+func TestSnapshotSession(t *testing.T) {
+	ctx := context.Background()
+	e := New(core.DefaultOptions())
+	admin := e.NewSession("admin", true)
+	if _, err := admin.ExecScript(`
+		relation R (A, B) key (A);
+		insert into R values (1, one);
+		view ALL (R.A, R.B);
+		permit ALL to u;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	u := e.NewSession("u", false)
+
+	if _, err := u.Dispatch(ctx, `\end`); err == nil {
+		t.Fatal(`\end without an open block must fail`)
+	}
+	res, err := u.Dispatch(ctx, `\begin snapshot`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Text, "snapshot pinned") {
+		t.Fatalf("unexpected begin response %q", res.Text)
+	}
+	if _, err := u.Dispatch(ctx, `\begin snapshot`); err == nil {
+		t.Fatal("nested begin must fail")
+	}
+
+	// A concurrent commit is invisible inside the block...
+	if _, err := admin.Exec(`insert into R values (2, two)`); err != nil {
+		t.Fatal(err)
+	}
+	got, err := u.Exec(`retrieve (R.A, R.B)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Relation.Len() != 1 {
+		t.Fatalf("pinned read saw %d rows, want 1", got.Relation.Len())
+	}
+	// ...repeatably: the same statement reads the same version.
+	got, err = u.Exec(`retrieve (R.A, R.B)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Relation.Len() != 1 {
+		t.Fatalf("second pinned read saw %d rows, want 1", got.Relation.Len())
+	}
+
+	// After \end the live head (with the concurrent insert) is visible.
+	if _, err := u.Dispatch(ctx, `\end`); err != nil {
+		t.Fatal(err)
+	}
+	got, err = u.Exec(`retrieve (R.A, R.B)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Relation.Len() != 2 {
+		t.Fatalf("post-end read saw %d rows, want 2", got.Relation.Len())
+	}
+}
+
+// TestSnapshotSessionReadsOwnWrites checks the write path inside a
+// block: an authorized update re-pins the session to the head it
+// produced, so the block observes its own mutation but still not later
+// foreign ones.
+func TestSnapshotSessionReadsOwnWrites(t *testing.T) {
+	ctx := context.Background()
+	e := New(core.DefaultOptions())
+	admin := e.NewSession("admin", true)
+	if _, err := admin.ExecScript(`
+		relation R (A, B) key (A);
+		insert into R values (1, one);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.Dispatch(ctx, `\begin snapshot`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.Exec(`insert into R values (2, two)`); err != nil {
+		t.Fatal(err)
+	}
+	got, err := admin.Exec(`retrieve (R.A, R.B)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Relation.Len() != 2 {
+		t.Fatalf("block does not read its own write: %d rows, want 2", got.Relation.Len())
+	}
+	// A foreign commit after the re-pin stays invisible.
+	other := e.NewSession("admin2", true)
+	if _, err := other.Exec(`insert into R values (3, three)`); err != nil {
+		t.Fatal(err)
+	}
+	got, err = admin.Exec(`retrieve (R.A, R.B)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Relation.Len() != 2 {
+		t.Fatalf("foreign commit leaked into the block: %d rows, want 2", got.Relation.Len())
+	}
+	if _, err := admin.Dispatch(ctx, `\end`); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -96,9 +96,11 @@ func (e *Engine) WALTail(from uint64) (tail []Commit, ok bool, err error) {
 // snapshot files (the layout ReplSnapshot produces) embodying lsn. The
 // swap happens under the engine lock, transparent to concurrent
 // sessions; durable engines immediately checkpoint the new state as
-// their own generation so a restart resumes from it. This is the
-// replica's bootstrap path.
-func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
+// their own generation so a restart resumes from it. A non-nil hist is
+// the sender's epoch history, adopted in the same swap (and the same
+// checkpoint), so the new state is never visible or persisted under
+// the old epoch. This is the replica's bootstrap path.
+func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64, hist []EpochEntry) error {
 	tmp, err := loadState(mapFS(files), ".", e.opt)
 	if err != nil {
 		return fmt.Errorf("loading replication snapshot: %w", err)
@@ -108,6 +110,11 @@ func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
 	if err := e.durCheck(); err != nil {
 		return err
 	}
+	if hist != nil {
+		if err := e.installEpochHistLocked(hist); err != nil {
+			return err
+		}
+	}
 	e.wsch, e.vrels, e.wstore = tmp.wsch, tmp.vrels, tmp.wstore
 	if e.masks.Load() != nil {
 		// The store's generation counters restarted with the new store;
@@ -116,11 +123,6 @@ func (e *Engine) ResetFromSnapshot(files map[string][]byte, lsn uint64) error {
 	}
 	e.lsn.Store(lsn)
 	e.publishLocked()
-	if e.pstore != nil {
-		// The page store mirrors state that was just replaced wholesale;
-		// the checkpoint below rebuilds it from the adopted head.
-		e.pstore.MarkRebuild()
-	}
 	if e.dur != nil {
 		if err := e.checkpointLocked(e.dur.fs, e.dur.dir, e.dur.gen); err != nil {
 			return fmt.Errorf("persisting replication snapshot: %w", err)
@@ -150,10 +152,6 @@ func (m mapFS) Open(name string) (faultfs.File, error) {
 
 func (m mapFS) Create(name string) (faultfs.File, error) {
 	return nil, &os.PathError{Op: "create", Path: name, Err: os.ErrInvalid}
-}
-
-func (m mapFS) OpenFile(name string) (faultfs.RandomFile, error) {
-	return nil, &os.PathError{Op: "openfile", Path: name, Err: os.ErrInvalid}
 }
 
 func (m mapFS) MkdirAll(path string, perm os.FileMode) error { return os.ErrInvalid }

@@ -121,7 +121,7 @@ func TestWALTailAndSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("snapshot LSN = %d, want %d", lsn, split)
 	}
 	e2 := New(core.DefaultOptions())
-	if err := e2.ResetFromSnapshot(files, lsn); err != nil {
+	if err := e2.ResetFromSnapshot(files, lsn, nil); err != nil {
 		t.Fatal(err)
 	}
 	if e2.LSN() != lsn {
@@ -158,6 +158,62 @@ func TestWALTailAndSnapshotBootstrap(t *testing.T) {
 	}
 	if got, want := fingerprint(t, e2), fingerprint(t, e1); got != want {
 		t.Fatalf("tail replay diverged:\nreplica:\n%s\nprimary:\n%s", got, want)
+	}
+}
+
+// TestSnapshotInstallAdoptsEpoch: a snapshot installed with the
+// sender's epoch history makes the new state and the new epoch visible
+// together and persists both in one generation; a history that would
+// move the engine backwards is refused before the state is swapped.
+func TestSnapshotInstallAdoptsEpoch(t *testing.T) {
+	src := New(core.DefaultOptions())
+	if _, err := src.NewSession("admin", true).ExecScript(`
+		relation R (A) key (A);
+		insert into R values (1);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	files, lsn, _, err := src.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	e, err := OpenDurable(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := []EpochEntry{{Epoch: 1, StartLSN: 0}, {Epoch: 3, StartLSN: lsn}}
+	if err := e.ResetFromSnapshot(files, lsn, hist); err != nil {
+		t.Fatal(err)
+	}
+	if e.Epoch() != 3 || e.LSN() != lsn {
+		t.Fatalf("after install: epoch %d lsn %d, want 3 and %d", e.Epoch(), e.LSN(), lsn)
+	}
+	before := fingerprint(t, e)
+	if _, err := src.NewSession("admin", true).Exec(`insert into R values (2)`); err != nil {
+		t.Fatal(err)
+	}
+	newer, newerLSN, _, err := src.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := []EpochEntry{{Epoch: 1, StartLSN: 0}}
+	if err := e.ResetFromSnapshot(newer, newerLSN, stale); err == nil {
+		t.Fatal("installing a snapshot with a regressing epoch history succeeded")
+	}
+	if got := fingerprint(t, e); got != before || e.Epoch() != 3 {
+		t.Fatalf("refused install changed the engine (epoch %d)", e.Epoch())
+	}
+	e.Close()
+
+	re, err := OpenDurable(dir, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Epoch() != 3 || fingerprint(t, re) != before {
+		t.Fatalf("reopened: epoch %d, state matches %v; want epoch 3 and the installed state", re.Epoch(), fingerprint(t, re) == before)
 	}
 }
 

@@ -31,29 +31,12 @@ type File interface {
 	Close() error
 }
 
-// RandomFile is a random-access file handle; the page store reads and
-// writes fixed-size pages at explicit offsets through it. WriteAt is a
-// mutating operation under fault injection (and the tripping write may
-// be torn, modelling a partial sector write); ReadAt never fails
-// injection.
-type RandomFile interface {
-	io.ReaderAt
-	io.WriterAt
-	// Sync flushes the file's contents to stable storage.
-	Sync() error
-	Close() error
-}
-
-// FS is the filesystem surface used by snapshots, the WAL, and the page
-// store.
+// FS is the filesystem surface used by snapshots and the WAL.
 type FS interface {
 	// Create truncates or creates the named file for writing.
 	Create(name string) (File, error)
 	// Open opens the named file for reading.
 	Open(name string) (File, error)
-	// OpenFile opens the named file for random-access reading and
-	// writing, creating it (without truncation) if missing.
-	OpenFile(name string) (RandomFile, error)
 	ReadFile(name string) ([]byte, error)
 	MkdirAll(path string, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
@@ -72,13 +55,8 @@ type osFS struct{}
 // OS returns the real filesystem.
 func OS() FS { return osFS{} }
 
-func (osFS) Create(name string) (File, error) { return os.Create(name) }
-func (osFS) Open(name string) (File, error)   { return os.Open(name) }
-
-func (osFS) OpenFile(name string) (RandomFile, error) {
-	return os.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
-}
-
+func (osFS) Create(name string) (File, error)           { return os.Create(name) }
+func (osFS) Open(name string) (File, error)             { return os.Open(name) }
 func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
 func (osFS) MkdirAll(p string, m os.FileMode) error     { return os.MkdirAll(p, m) }
 func (osFS) Rename(o, n string) error                   { return os.Rename(o, n) }
@@ -184,19 +162,6 @@ func (f *Faulty) Create(name string) (File, error) {
 	return &faultyFile{f: f, inner: file, name: name}, nil
 }
 
-// OpenFile is mutating (it may create the file), and the returned
-// handle threads WriteAt and Sync through fault accounting.
-func (f *Faulty) OpenFile(name string) (RandomFile, error) {
-	if fail, _ := f.step(); fail {
-		return nil, fmt.Errorf("%w: openfile %s", ErrInjected, name)
-	}
-	file, err := f.inner.OpenFile(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyRandomFile{f: f, inner: file, name: name}, nil
-}
-
 func (f *Faulty) Open(name string) (File, error)       { return f.inner.Open(name) }
 func (f *Faulty) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
 func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error) {
@@ -270,36 +235,3 @@ func (w *faultyFile) Sync() error {
 // Close never fails injection: a crashed process's descriptors close
 // implicitly, and failing Close would only mask the interesting faults.
 func (w *faultyFile) Close() error { return w.inner.Close() }
-
-// faultyRandomFile threads page writes and syncs through fault
-// accounting; a torn WriteAt models a partially persisted page.
-type faultyRandomFile struct {
-	f     *Faulty
-	inner RandomFile
-	name  string
-}
-
-func (w *faultyRandomFile) ReadAt(p []byte, off int64) (int, error) {
-	return w.inner.ReadAt(p, off)
-}
-
-func (w *faultyRandomFile) WriteAt(p []byte, off int64) (int, error) {
-	fail, atTrip := w.f.step()
-	if !fail {
-		return w.inner.WriteAt(p, off)
-	}
-	if atTrip && w.f.ShortWrites && len(p) > 1 {
-		n, _ := w.inner.WriteAt(p[:len(p)/2], off)
-		return n, fmt.Errorf("%w: short writeat %s", ErrInjected, w.name)
-	}
-	return 0, fmt.Errorf("%w: writeat %s", ErrInjected, w.name)
-}
-
-func (w *faultyRandomFile) Sync() error {
-	if fail, _ := w.f.step(); fail {
-		return fmt.Errorf("%w: sync %s", ErrInjected, w.name)
-	}
-	return w.inner.Sync()
-}
-
-func (w *faultyRandomFile) Close() error { return w.inner.Close() }

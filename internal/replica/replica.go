@@ -328,15 +328,18 @@ func (r *Replica) stream(addr string) (applied int, err error) {
 			r.cfg.Logf("replica: quarantined divergent statements past lsn %d into %s", reply.Fork, qdir)
 		}
 	}
+	var hist []engine.EpochEntry
+	if len(reply.EpochHist) > 0 {
+		hist = engineEpochHist(reply.EpochHist)
+	}
 	if reply.Mode == wire.ReplModeSnapshot {
-		if err := r.eng.ResetFromSnapshot(reply.Snapshot, reply.SnapshotLSN); err != nil {
+		if err := r.eng.ResetFromSnapshot(reply.Snapshot, reply.SnapshotLSN, hist); err != nil {
 			return 0, fmt.Errorf("installing snapshot at lsn %d: %w", reply.SnapshotLSN, err)
 		}
 		r.met.Counter("authdb_repl_snapshots_installed_total").Inc()
 		r.cfg.Logf("replica: bootstrapped from snapshot at lsn %d (gen %d)", reply.SnapshotLSN, reply.Gen)
-	}
-	if len(reply.EpochHist) > 0 {
-		if err := r.eng.AdoptEpochHistory(engineEpochHist(reply.EpochHist)); err != nil {
+	} else if hist != nil {
+		if err := r.eng.AdoptEpochHistory(hist); err != nil {
 			return 0, fmt.Errorf("adopting epoch history: %w", err)
 		}
 	}

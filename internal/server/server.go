@@ -515,7 +515,18 @@ func (s *Server) handle(nc net.Conn) {
 		}
 		resp := s.execute(sess, hello.Admin, req)
 		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := wire.WriteMsg(bw, &resp); err != nil {
+		err := wire.WriteMsg(bw, &resp)
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			// Nothing was written, so the connection is still in frame:
+			// answer with a final coded error rather than dropping it,
+			// which the client would take for a transport failure and
+			// retry the same oversized read.
+			s.met.Counter("authdb_server_errors_total", "code", wire.CodeBudget).Inc()
+			resp = wire.Response{ID: req.ID, Error: &wire.Error{
+				Code: wire.CodeBudget, Message: "answer too large to send: " + err.Error()}}
+			err = wire.WriteMsg(bw, &resp)
+		}
+		if err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {

@@ -216,6 +216,47 @@ func TestWireErrorCodes(t *testing.T) {
 	}
 }
 
+// TestOversizedAnswerIsCoded sends a retrieve whose answer exceeds
+// wire.MaxFrame: the server answers with a final BUDGET_EXCEEDED instead
+// of dropping the connection, so the client runs the read once and the
+// same connection serves the next statement.
+func TestOversizedAnswerIsCoded(t *testing.T) {
+	db := authdb.Open()
+	admin := db.Admin()
+	admin.MustExecScript(`relation BIG (ID, PAD) key (ID);`)
+	// Each row carries 4KiB of padding; the answer holds every row twice
+	// (rendered text and table cells), so 2,200 rows pass 16MiB.
+	pad := strings.Repeat("x", 4096)
+	var script strings.Builder
+	for i := 0; i < 2200; i++ {
+		fmt.Fprintf(&script, "insert into BIG values (%d, %q);\n", i, pad)
+	}
+	admin.MustExecScript(script.String())
+
+	s := startServer(t, db, server.Config{})
+	c := dial(t, s.Addr().String(), client.WithAdmin("root", ""))
+	met := db.Metrics()
+	requests := met.Counter("authdb_server_requests_total")
+	before := requests.Value()
+
+	_, err := c.Exec(context.Background(), "retrieve (BIG.ID, BIG.PAD)")
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeBudget || se.Retryable {
+		t.Fatalf("oversized answer: error = %v, want %s, not retryable", err, wire.CodeBudget)
+	}
+	if n := requests.Value() - before; n != 1 {
+		t.Fatalf("oversized retrieve ran %d times, want 1", n)
+	}
+
+	res := exec(t, c, "retrieve (BIG.ID) where BIG.ID = 7")
+	if len(res.Rows) != 1 || res.Rows[0][0] != "7" {
+		t.Fatalf("follow-up answer = %v, want the one row of ID 7", res.Rows)
+	}
+	if n := met.Counter("authdb_server_accepted_total").Value(); n != 1 {
+		t.Fatalf("server accepted %d connections, want 1 (the connection was dropped)", n)
+	}
+}
+
 // TestHandshakeRejections covers the authentication gate: bad protocol
 // version, malformed user, bad admin token, good admin token.
 func TestHandshakeRejections(t *testing.T) {

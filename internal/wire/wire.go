@@ -8,16 +8,19 @@
 //
 //	uint32le payload length | payload (JSON)
 //
-// A frame larger than the agreed maximum is a protocol error and closes
-// the connection. Within one connection, requests execute strictly in
-// order and every request produces exactly one response carrying the
-// request's ID.
+// A received frame larger than the agreed maximum is a protocol error
+// and closes the connection; a response that would exceed it is
+// refused before any byte is written, and the server answers with a
+// BUDGET_EXCEEDED error instead. Within one connection, requests
+// execute strictly in order and every request produces exactly one
+// response carrying the request's ID.
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -30,10 +33,15 @@ const ProtoVersion = 1
 // length words are treated as a protocol error rather than allocated.
 const MaxFrame = 16 << 20
 
+// ErrFrameTooLarge wraps every refusal of a payload over MaxFrame.
+// WriteFrame refuses before writing any byte, so the stream stays in
+// frame and the writer can still answer in-protocol.
+var ErrFrameTooLarge = errors.New("wire: frame too large")
+
 // WriteFrame writes one length-prefixed payload.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
+		return fmt.Errorf("%w: %d bytes exceeds limit %d", ErrFrameTooLarge, len(payload), MaxFrame)
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -53,7 +61,7 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+		return nil, fmt.Errorf("%w: %d bytes exceeds limit %d", ErrFrameTooLarge, n, MaxFrame)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
