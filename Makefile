@@ -2,12 +2,16 @@
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race chaos fuzz fuzz-wire bench bench-index bench-serve bench-replica bench-mvcc benchgo perfbench-test
+.PHONY: check build fmt vet staticcheck test race chaos fuzz fuzz-wire bench bench-index bench-serve bench-replica bench-mvcc benchgo perfbench-test
 
-check: build vet staticcheck race perfbench-test
+check: build fmt vet staticcheck race perfbench-test
 
 build:
 	$(GO) build ./...
+
+# Every Go file in the tree, perfbench included, must be gofmt-clean.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: files above need formatting"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -34,6 +34,7 @@ import (
 	"authdb/internal/metrics"
 	"authdb/internal/relation"
 	"authdb/internal/value"
+	"authdb/internal/wire"
 )
 
 // ErrCanceled reports that a statement's context was canceled or its
@@ -336,6 +337,12 @@ type Table struct {
 // String renders the table in the paper's figure style.
 func (t *Table) String() string {
 	var b strings.Builder
+	relation.RenderTable(&b, "", t.Columns, t.cells(), false)
+	return b.String()
+}
+
+// cells returns the rows as rendered cell values, withheld cells as "-".
+func (t *Table) cells() [][]string {
 	rows := make([][]string, len(t.Rows))
 	for i, r := range t.Rows {
 		rows[i] = make([]string, len(r))
@@ -343,8 +350,7 @@ func (t *Table) String() string {
 			rows[i][j] = c.String()
 		}
 	}
-	relation.RenderTable(&b, "", t.Columns, rows, false)
-	return b.String()
+	return rows
 }
 
 func tableOf(r *relation.Relation) *Table {
@@ -381,29 +387,15 @@ type Result struct {
 
 // Render renders the result exactly as the REPL prints it: the text,
 // then the table followed by its authorization footer (the outcome line
-// or the inferred permit statements). The network server sends the same
-// rendering so every front end shows identical output.
+// or the inferred permit statements). Network clients render the
+// server's structured response with the same function, so every front
+// end shows identical output.
 func (r *Result) Render() string {
-	var b strings.Builder
-	if r.Text != "" {
-		b.WriteString(r.Text)
-		b.WriteByte('\n')
-	}
+	var t *wire.Table
 	if r.Table != nil {
-		b.WriteString(r.Table.String())
-		switch {
-		case r.FullyAuthorized:
-			b.WriteString("(entire answer delivered)\n")
-		case r.Denied:
-			b.WriteString("(no portion of the answer is permitted)\n")
-		default:
-			for _, p := range r.Permits {
-				b.WriteString(p)
-				b.WriteByte('\n')
-			}
-		}
+		t = &wire.Table{Columns: r.Table.Columns, Rows: r.Table.cells()}
 	}
-	return b.String()
+	return wire.Render(r.Text, t, r.Permits, r.FullyAuthorized, r.Denied)
 }
 
 func resultOf(r *engine.Result) *Result {

@@ -42,11 +42,11 @@ type serveLevel struct {
 	// report field alone would misattribute the numbers.
 	GoMaxProcs int     `json:"gomaxprocs"`
 	Ops        int64   `json:"ops"`
-	Errors    int64   `json:"errors"`
-	QPS       float64 `json:"qps"`
-	P50Micros float64 `json:"p50_us"`
-	P95Micros float64 `json:"p95_us"`
-	P99Micros float64 `json:"p99_us"`
+	Errors     int64   `json:"errors"`
+	QPS        float64 `json:"qps"`
+	P50Micros  float64 `json:"p50_us"`
+	P95Micros  float64 `json:"p95_us"`
+	P99Micros  float64 `json:"p99_us"`
 }
 
 type writeLevel struct {
@@ -303,10 +303,10 @@ func runServeLevel(addr string, n int, dur time.Duration) (serveLevel, error) {
 		Conns:      n,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Ops:        int64(len(all)),
-		Errors:    errs,
-		QPS:       float64(len(all)) / elapsed.Seconds(),
-		P50Micros: pct(0.50),
-		P95Micros: pct(0.95),
-		P99Micros: pct(0.99),
+		Errors:     errs,
+		QPS:        float64(len(all)) / elapsed.Seconds(),
+		P50Micros:  pct(0.50),
+		P95Micros:  pct(0.95),
+		P99Micros:  pct(0.99),
 	}, nil
 }

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"fmt"
 	"io"
 	"strings"
 )
@@ -10,13 +9,15 @@ import (
 // a header row of attribute names, a rule, then the rows. Rows are printed
 // in the order given. Attribute names are shortened to their bare part
 // when short is true.
+//
+// The table is built in one pass into a buffer sized up front; when w is
+// a *strings.Builder it is that buffer.
 func RenderTable(w io.Writer, title string, attrs []string, rows [][]string, short bool) {
-	header := make([]string, len(attrs))
-	for i, a := range attrs {
-		if short {
+	header := attrs
+	if short {
+		header = make([]string, len(attrs))
+		for i, a := range attrs {
 			_, header[i] = SplitQualified(a)
-		} else {
-			header[i] = a
 		}
 	}
 	widths := make([]int, len(header))
@@ -30,24 +31,74 @@ func RenderTable(w io.Writer, title string, attrs []string, rows [][]string, sho
 			}
 		}
 	}
-	if title != "" {
-		fmt.Fprintln(w, title)
-	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = c + strings.Repeat(" ", widths[i]-len(c))
+	// Every line is "| " + cells joined by " | " + " |\n".
+	lineLen := 5
+	for i, width := range widths {
+		if i > 0 {
+			lineLen += 3
 		}
-		fmt.Fprintln(w, "| "+strings.Join(parts, " | ")+" |")
+		lineLen += width
 	}
-	rule := make([]string, len(header))
-	for i := range rule {
-		rule[i] = strings.Repeat("-", widths[i])
+	size := lineLen * (len(rows) + 2)
+	if title != "" {
+		size += len(title) + 1
 	}
-	line(header)
-	line(rule)
+
+	b, direct := w.(*strings.Builder)
+	if !direct {
+		b = new(strings.Builder)
+	}
+	b.Grow(size)
+	if title != "" {
+		b.WriteString(title)
+		b.WriteByte('\n')
+	}
+	writeLine(b, header, widths)
+	b.WriteString("| ")
+	for i, width := range widths {
+		if i > 0 {
+			b.WriteString(" | ")
+		}
+		pad(b, dashes, width)
+	}
+	b.WriteString(" |\n")
 	for _, row := range rows {
-		line(row)
+		writeLine(b, row, widths)
+	}
+	if !direct {
+		io.WriteString(w, b.String())
+	}
+}
+
+// writeLine writes one table line, each cell left-aligned and padded to
+// its column's width.
+func writeLine(b *strings.Builder, cells []string, widths []int) {
+	b.WriteString("| ")
+	for i, c := range cells {
+		if i > 0 {
+			b.WriteString(" | ")
+		}
+		b.WriteString(c)
+		if i < len(widths) {
+			pad(b, spaces, widths[i]-len(c))
+		}
+	}
+	b.WriteString(" |\n")
+}
+
+const (
+	spaces = "                                "
+	dashes = "--------------------------------"
+)
+
+// pad writes n fill bytes, fill being spaces or dashes.
+func pad(b *strings.Builder, fill string, n int) {
+	for n > len(fill) {
+		b.WriteString(fill)
+		n -= len(fill)
+	}
+	if n > 0 {
+		b.WriteString(fill[:n])
 	}
 }
 

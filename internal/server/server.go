@@ -653,16 +653,15 @@ func (s *Server) executePromote(ctx context.Context, admin bool, id uint64) wire
 		return wire.Response{ID: id, Error: wire.ErrorFor(err)}
 	}
 	text := fmt.Sprintf("promoted to primary (epoch %d)", epoch)
-	return wire.Response{ID: id, Text: text, Rendered: text + "\n"}
+	return wire.Response{ID: id, Text: text}
 }
 
-// responseOf converts a session result to its wire form, including the
-// REPL-identical rendering.
+// responseOf converts a session result to its wire form; the client
+// renders it (wire.Render) into the REPL's output.
 func responseOf(id uint64, res *authdb.Result) wire.Response {
 	resp := wire.Response{
 		ID:              id,
 		Text:            res.Text,
-		Rendered:        res.Render(),
 		Permits:         res.Permits,
 		FullyAuthorized: res.FullyAuthorized,
 		Denied:          res.Denied,

@@ -224,11 +224,11 @@ func TestOversizedAnswerIsCoded(t *testing.T) {
 	db := authdb.Open()
 	admin := db.Admin()
 	admin.MustExecScript(`relation BIG (ID, PAD) key (ID);`)
-	// Each row carries 4KiB of padding; the answer holds every row twice
-	// (rendered text and table cells), so 2,200 rows pass 16MiB.
+	// Each row carries 4KiB of padding and the answer carries each row
+	// once (as table cells), so 4,400 rows (about 18MB) pass 16MiB.
 	pad := strings.Repeat("x", 4096)
 	var script strings.Builder
-	for i := 0; i < 2200; i++ {
+	for i := 0; i < 4400; i++ {
 		fmt.Fprintf(&script, "insert into BIG values (%d, %q);\n", i, pad)
 	}
 	admin.MustExecScript(script.String())
@@ -264,21 +264,24 @@ func TestHandshakeRejections(t *testing.T) {
 	s := startServer(t, db, server.Config{AdminToken: "s3cret"})
 	addr := s.Addr().String()
 
-	// Wrong protocol version, spoken raw.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteMsg(nc, wire.Hello{Proto: 99, User: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	var reply wire.HelloReply
-	if err := wire.ReadMsg(bufio.NewReader(nc), &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.OK || reply.Error == nil || reply.Error.Code != wire.CodeProtocol {
-		t.Errorf("version-mismatch reply = %+v, want %s", reply, wire.CodeProtocol)
+	// Wrong protocol version, spoken raw: an unknown one, and protocol 1,
+	// whose clients expect the server to send rendered text.
+	for _, proto := range []int{99, 1} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := wire.WriteMsg(nc, wire.Hello{Proto: proto, User: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		var reply wire.HelloReply
+		if err := wire.ReadMsg(bufio.NewReader(nc), &reply); err != nil {
+			t.Fatal(err)
+		}
+		if reply.OK || reply.Error == nil || reply.Error.Code != wire.CodeProtocol {
+			t.Errorf("protocol %d reply = %+v, want %s", proto, reply, wire.CodeProtocol)
+		}
 	}
 
 	if _, err := client.Dial(addr, client.WithUser("two words")); err == nil {

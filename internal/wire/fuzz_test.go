@@ -23,8 +23,8 @@ func seedFrames(tb testing.TB) [][]byte {
 		frame(Hello{Proto: ProtoVersion, User: "Brown", Admin: true, Token: "t"}),
 		frame(HelloReply{OK: true, Server: "authdb"}),
 		frame(Request{ID: 9, Stmt: "retrieve (EMPLOYEE.NAME)", TimeoutMS: 100}),
-		frame(Response{ID: 9, Rendered: "…", Permits: []string{"permit (NAME)"},
-			Error: &Error{Code: CodeExec, Message: "nope"}}),
+		frame(Response{ID: 9, Table: &Table{Columns: []string{"NAME", "TITLE"}, Rows: [][]string{{"Jones", "-"}}},
+			Permits: []string{"permit (NAME)"}, Error: &Error{Code: CodeExec, Message: "nope"}}),
 		frame(ReplHello{Kind: KindReplHello, Proto: ProtoVersion, Token: "t", From: 41, Name: "r1",
 			Epoch: 3, Leader: "127.0.0.1:4100"}),
 		frame(ReplHelloReply{OK: true, Mode: ReplModeSnapshot,
@@ -48,12 +48,15 @@ func seedFrames(tb testing.TB) [][]byte {
 		{0x03, 0x00, 0x00, 0x00, 'x', 'y', 'z'},
 		{0xff, 0xff, 0xff, 0xff},
 		frame(map[string]any{"kind": "mystery", "from": -1}),
+		// A table whose rows are ragged against its columns.
+		frame(Response{ID: 4, Table: &Table{Columns: []string{"A"}, Rows: [][]string{{"x", "y", "z"}, {}}}}),
 	}
 }
 
 // FuzzDecode feeds arbitrary bytes through the frame reader and the
 // kind-probed message decoding exactly the way a server connection
-// does, checking nothing panics and limits hold.
+// does, and renders any decoded response the way a client does,
+// checking nothing panics and limits hold.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range seedFrames(f) {
 		f.Add(seed)
@@ -121,7 +124,10 @@ func decodeStream(t *testing.T, data []byte) {
 			var req Request
 			_ = json.Unmarshal(payload, &req)
 			var resp Response
-			_ = json.Unmarshal(payload, &resp)
+			if json.Unmarshal(payload, &resp) == nil {
+				// Clients render whatever table a peer sends.
+				_ = Render(resp.Text, resp.Table, resp.Permits, resp.FullyAuthorized, resp.Denied)
+			}
 			var hr ReplHelloReply
 			_ = json.Unmarshal(payload, &hr)
 		}

@@ -23,11 +23,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
+
+	"authdb/internal/relation"
 )
 
 // ProtoVersion identifies the protocol; the handshake rejects mismatches
-// so both sides fail loudly instead of mis-parsing frames.
-const ProtoVersion = 1
+// so both sides fail loudly instead of mis-parsing frames. Version 2
+// dropped the server-rendered text from responses (clients render from
+// the table), so a version 1 client would print nothing.
+const ProtoVersion = 2
 
 // MaxFrame bounds one frame's payload (requests and responses): larger
 // length words are treated as a protocol error rather than allocated.
@@ -125,16 +130,17 @@ type Table struct {
 	Rows    [][]string `json:"rows"`
 }
 
-// Response answers one request: the rendered result (what the REPL
-// would print), the structured pieces for programmatic use, or a coded
-// error.
+// Response answers one request: the structured result, which Render
+// turns into what the REPL would print, or a coded error. Each answer
+// travels once, as Table.
 type Response struct {
 	ID uint64 `json:"id"`
 	// Text carries acknowledgements and show/meta-command output.
 	Text string `json:"text,omitempty"`
-	// Rendered is the complete human-readable result, identical to the
-	// REPL's output for the same statement.
-	Rendered string `json:"rendered,omitempty"`
+	// Rendered is not part of the protocol and is never encoded: Go code
+	// that still fills it (perfbench's traced replay) keeps
+	// compiling, and clients render from Table with Render.
+	Rendered string `json:"-"`
 	// Table is the delivered relation of a retrieve.
 	Table *Table `json:"table,omitempty"`
 	// Permits are the inferred permit statements accompanying a
@@ -168,4 +174,46 @@ type Error struct {
 // Error implements the error interface.
 func (e *Error) Error() string {
 	return fmt.Sprintf("%s: %s", e.Code, e.Message)
+}
+
+// Result footers: the outcome line of a fully delivered or a denied
+// answer. A partial answer is followed by its permit statements instead.
+const (
+	footerFull   = "(entire answer delivered)\n"
+	footerDenied = "(no portion of the answer is permitted)\n"
+)
+
+// Render renders a statement's result exactly as the REPL prints it:
+// the text, then the table followed by its authorization footer (the
+// outcome line, or the inferred permit statements of a partial answer).
+// The embedded API and the client both render through it, so every
+// front end prints identical bytes.
+func Render(text string, t *Table, permits []string, full, denied bool) string {
+	var b strings.Builder
+	// Reserve room for the text and footer; a table too large for it
+	// regrows the buffer to over twice that, so the footer still fits.
+	n := len(text) + 1 + len(footerDenied)
+	for _, p := range permits {
+		n += len(p) + 1
+	}
+	b.Grow(n)
+	if text != "" {
+		b.WriteString(text)
+		b.WriteByte('\n')
+	}
+	if t != nil {
+		relation.RenderTable(&b, "", t.Columns, t.Rows, false)
+		switch {
+		case full:
+			b.WriteString(footerFull)
+		case denied:
+			b.WriteString(footerDenied)
+		default:
+			for _, p := range permits {
+				b.WriteString(p)
+				b.WriteByte('\n')
+			}
+		}
+	}
+	return b.String()
 }

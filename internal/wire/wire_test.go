@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -19,7 +20,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	msgs := []any{
 		Hello{Proto: ProtoVersion, User: "Brown"},
 		Request{ID: 7, Stmt: "retrieve (EMPLOYEE.NAME)", TimeoutMS: 250},
-		Response{ID: 7, Rendered: "table…", Permits: []string{"permit (NAME)"}},
+		Response{ID: 7, Table: &Table{Columns: []string{"NAME", "TITLE"}, Rows: [][]string{{"Jones", "-"}}},
+			Permits: []string{"permit (NAME)"}},
 	}
 	for _, m := range msgs {
 		if err := WriteMsg(&buf, m); err != nil {
@@ -36,8 +38,50 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("request round trip = %+v, %v", req, err)
 	}
 	var resp Response
-	if err := ReadMsg(r, &resp); err != nil || resp.ID != 7 || len(resp.Permits) != 1 {
+	if err := ReadMsg(r, &resp); err != nil || resp.ID != 7 || len(resp.Permits) != 1 ||
+		resp.Table == nil || len(resp.Table.Rows) != 1 || resp.Table.Rows[0][1] != "-" {
 		t.Fatalf("response round trip = %+v, %v", resp, err)
+	}
+}
+
+// TestResponseCarriesAnswerOnce: a filled-in Rendered field never
+// reaches the wire; the answer travels only as the table.
+func TestResponseCarriesAnswerOnce(t *testing.T) {
+	payload, err := json.Marshal(Response{ID: 1, Rendered: "| NAME |", Table: &Table{Columns: []string{"NAME"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"id":1,"table":{"columns":["NAME"],"rows":null}}`; string(payload) != want {
+		t.Fatalf("encoded response = %s, want %s", payload, want)
+	}
+}
+
+func TestRender(t *testing.T) {
+	table := &Table{Columns: []string{"NAME", "TITLE"}, Rows: [][]string{{"Jones", "-"}}}
+	grid := "| NAME  | TITLE |\n" +
+		"| ----- | ----- |\n" +
+		"| Jones | -     |\n"
+	cases := []struct {
+		name         string
+		text         string
+		table        *Table
+		permits      []string
+		full, denied bool
+		want         string
+	}{
+		{name: "ack", text: "inserted", want: "inserted\n"},
+		{name: "empty"},
+		{name: "full", table: table, full: true, want: grid + "(entire answer delivered)\n"},
+		{name: "denied", table: table, denied: true, want: grid + "(no portion of the answer is permitted)\n"},
+		{name: "partial", table: table, permits: []string{"permit (NAME)", "permit (NAME) where NAME = Jones"},
+			want: grid + "permit (NAME)\npermit (NAME) where NAME = Jones\n"},
+		{name: "text and table", text: "note", table: table, full: true,
+			want: "note\n" + grid + "(entire answer delivered)\n"},
+	}
+	for _, c := range cases {
+		if got := Render(c.text, c.table, c.permits, c.full, c.denied); got != c.want {
+			t.Errorf("%s: Render =\n%q\nwant\n%q", c.name, got, c.want)
+		}
 	}
 }
 

@@ -69,7 +69,8 @@ type Result struct {
 	// Text carries acknowledgements and show/meta-command output.
 	Text string
 	// Rendered is the complete human-readable result, byte-identical to
-	// what the REPL prints for the same statement.
+	// what the REPL prints for the same statement. The client renders it
+	// from the other fields; the server sends each answer once, as rows.
 	Rendered string
 	// Columns and Rows carry the delivered relation of a retrieve
 	// (rendered cell values, withheld cells as "-"); nil otherwise.
@@ -433,7 +434,7 @@ func (c *Client) roundTrip(ctx context.Context, stmt string) (res *Result, sent 
 	}
 	res = &Result{
 		Text:            resp.Text,
-		Rendered:        resp.Rendered,
+		Rendered:        wire.Render(resp.Text, resp.Table, resp.Permits, resp.FullyAuthorized, resp.Denied),
 		Permits:         resp.Permits,
 		FullyAuthorized: resp.FullyAuthorized,
 		Denied:          resp.Denied,
